@@ -90,7 +90,7 @@ def test_replay_speed(benchmark, bench_runs, workload, setup):
     scalar_s = min(scalar_times)
 
     def fresh():
-        return (_machine(run, setup, "on"),), {}
+        return (_machine(run, setup, "auto"),), {}
 
     fast_result = benchmark.pedantic(
         lambda m: m.run(trace), setup=fresh, rounds=FAST_ROUNDS

@@ -108,7 +108,7 @@ class SweepPoint:
     #: Memory-request-buffer capacity override (§V-C1 / `repro pareto`);
     #: ``None`` keeps the sweep's base config.
     mrb_entries: int | None = None
-    #: Batch-replay selector (``"auto" | "on" | "off"``).  Deliberately
+    #: Batch-replay selector (``"auto" | "off"``).  Deliberately
     #: excluded from :func:`~repro.runtime.ledger.point_key`: both replay
     #: paths produce bit-identical results (``tests/parity``), so points
     #: differing only here are interchangeable.

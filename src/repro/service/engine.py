@@ -165,8 +165,8 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         PREFETCH_CONFIG_NAMES,
     )
     fast_path = str(spec.get("fast_path", "auto"))
-    if fast_path not in ("auto", "on", "vector", "off"):
-        raise ValueError("fast_path must be auto|on|vector|off")
+    if fast_path not in ("auto", "off"):
+        raise ValueError("fast_path must be auto|off")
     try:
         max_refs = int(spec.get("max_refs", 150_000))
         scale_shift = int(spec.get("scale_shift", 0))

@@ -1,7 +1,7 @@
 """Full-system simulation: configuration, machine, runners."""
 
 from .config import CACHE_SCALE, SystemConfig, cacti_llc_latency
-from .fastreplay import eligible_setup, run_fast
+from .fastreplay import run_fast
 from .machine import Machine, RegionClassifier, SimResult
 from .multicore import MulticoreResult, run_multicore
 from .runner import compare_setups, simulate
@@ -10,7 +10,6 @@ __all__ = [
     "CACHE_SCALE",
     "SystemConfig",
     "cacti_llc_latency",
-    "eligible_setup",
     "run_fast",
     "Machine",
     "RegionClassifier",

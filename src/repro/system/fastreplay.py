@@ -13,28 +13,32 @@ trace with the same machine *bit-identically* but much faster:
 2. Guaranteed-hit runs are applied as bare LRU touches (inline, or via
    :meth:`repro.cache.cache.Cache.touch_run` for long runs); their hit
    counters are folded in per window from prefix sums.
-3. Everything else — misses, unknown-outcome references, event drains,
-   prefetch issue windows — drops into a scalar body that mirrors
-   ``Machine.run`` statement for statement.
+3. Everything else — misses, unknown-outcome references — takes the
+   machine's shared replay step, the same methods the scalar reference
+   loop and multicore replay call: ``Machine._demand_step``,
+   ``_drain_events`` and ``_snoop_miss``.  When no observer is attached
+   (telemetry, attribution, pollution tracking) and the setup never
+   prefetch-fills the L1, a *lean* cascade inlined over the raw set
+   dictionaries replaces ``_demand_step``.
 4. Window timing runs on the sparse load set
-   (:func:`repro.core.mlp.compute_window_timing_sparse`): scalar-path
-   loads plus the guaranteed-hit loads some later load depends on.
+   (:func:`repro.core.mlp.compute_window_timing_sparse`): step loads
+   plus the guaranteed-hit loads some later load depends on; windows
+   close through the shared ``Machine._close_window``.
 
 Soundness of the guaranteed-hit filter relies on every L1 insertion
 being a demand access.  Back-invalidations (inclusion victims) *remove*
 L1 lines mid-run: the hierarchy logs them into a poison set and the
-engine routes poisoned lines through the scalar path until their next
+engine routes poisoned lines through the replay step until their next
 demand access re-fills them.  Setups that prefetch-fill the L1
-(monoDROPLETL1, imp — see :func:`eligible_setup`) violate the filter's
-premise directly, so they run in a **degraded tier**: the hierarchy
-additionally logs every L1 eviction victim and prefetch insertion into
-the same poison set (``l1_evict_log``), prefetched L1 lines stay
-poisoned while resident (each hit must claim timeliness scalar-side),
-and guaranteed runs replay every touch instead of the deduped suffix
-(a prefetch fill between a skipped touch and its successor would read
-the LRU order the dedup argument assumes unobserved).  Windows that
-needed scalar refs under this tier are counted in
-``machine.fastpath_windows_degraded``.
+(monoDROPLETL1, imp) violate the filter's premise directly, so they run
+in a **degraded tier**: the hierarchy additionally logs every L1
+eviction victim and prefetch insertion into the same poison set
+(``l1_evict_log``), prefetched L1 lines stay poisoned while resident
+(each hit must claim timeliness in the step), and guaranteed runs
+replay every touch instead of the deduped suffix (a prefetch fill
+between a skipped touch and its successor would read the LRU order the
+dedup argument assumes unobserved).  Windows that needed the step under
+this tier are counted in ``machine.fastpath_windows_degraded``.
 
 The scalar path stays the reference oracle: ``tests/parity`` asserts
 bit-identical results across both paths for every workload × prefetch
@@ -47,14 +51,12 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..core.cycles import CycleStack
 from ..core.mlp import WindowTiming, compute_window_timing_sparse
-from ..prefetch.base import NullPrefetcher
 from ..trace.buffer import Trace
 from ..trace.plan import plan_replay
 from ..trace.record import DataType
 
-__all__ = ["eligible_setup", "run_fast"]
+__all__ = ["run_fast"]
 
 _STRUCTURE = int(DataType.STRUCTURE)
 
@@ -158,17 +160,6 @@ def _tables_for(machine, trace: Trace, l1) -> _ReplayTables:
     return tables
 
 
-def eligible_setup(setup) -> bool:
-    """Whether the fully vectorized tier is sound for ``setup``.
-
-    Prefetch fills into the L1 insert lines the stack-distance filter
-    never saw, voiding its guarantees; every other setup (including ones
-    that prefetch into L2/L3 only) is eligible.  Ineligible setups still
-    batch-replay, in the degraded tier (see the module docstring).
-    """
-    return not setup.fill_into_l1
-
-
 def run_fast(machine, trace: Trace):
     """Replay ``trace`` on ``machine`` via the batch fast path.
 
@@ -176,18 +167,16 @@ def run_fast(machine, trace: Trace):
     ``machine.run(trace)`` on a fresh machine, with ``fast_path`` set to
     the tier used (``"vector"`` or ``"degraded"``).
     """
-    from .machine import SimResult
+    from .machine import _RunState
 
     setup = machine.setup
-    degraded = not eligible_setup(setup)
+    degraded = setup.fill_into_l1
 
     cfg = machine.config
     hierarchy = machine.hierarchy
     dram = machine.dram
     ledger = machine.ledger
     mrb = machine.mrb
-    prefetcher = setup.l2_prefetcher
-    imp = setup.imp_engine
     events = hierarchy.events
     core = trace.core
     l1 = hierarchy.l1s[core]
@@ -220,32 +209,12 @@ def run_fast(machine, trace: Trace):
     l1_sets = l1._sets
     l1_num_sets = l1._num_sets
 
-    l2_lat = cfg.l2_service_latency
-    l3_lat = cfg.l3_service_latency
-    dram_path = cfg.dram_base_latency
     dispatch = cfg.dispatch_width
     rob = cfg.rob_entries
     mshr = cfg.mshr_entries
     lq = cfg.load_queue
-
-    has_feedback = hasattr(prefetcher, "feedback")
-    # The null prefetcher's snoop is a guaranteed no-op; skipping the
-    # call entirely leaves results untouched and the miss path leaner.
-    snoop_misses = imp is not None or not isinstance(prefetcher, NullPrefetcher)
-    clock = 0.0
-    stack = CycleStack()
-    stall = stack.stall
-    total_miss_latency = 0.0
-    total_exposed = 0.0
-    budget_full = cfg.prefetch_budget_per_window
-    budget = budget_full
-
-    tel = machine._telemetry
-    wintel = machine._window_telemetry
-    attr = machine._attribution
-    phase_marks = getattr(trace, "phases", [])
-    phase_ptr = 0
-    num_phase_marks = len(phase_marks) if tel is not None else 0
+    snoop = machine._snoops_misses
+    run = _RunState(machine, trace)
 
     # L1 lines removed by back-invalidation: their guaranteed-hit
     # predictions are void until the next demand access re-fills them.
@@ -272,17 +241,18 @@ def run_fast(machine, trace: Trace):
     # chase's) matches the scalar loop exactly.
     # ------------------------------------------------------------------
     lean = (
-        tel is None
-        and attr is None
+        machine._telemetry is None
+        and machine._attribution is None
         and hierarchy.pollution is None
-        and not setup.fill_into_l1
+        and not degraded
     )
     if lean:
         from ..cache.cache import CacheLine
         from ..cache.hierarchy import HierarchyEvent
 
-        l2_lat_f = float(cfg.l2_service_latency)
-        l3_lat_f = float(cfg.l3_service_latency)
+        l2_lat_f = machine._l2_latency
+        l3_lat_f = machine._l3_latency
+        dram_path = machine._dram_path
         l1_assoc = l1._assoc
         l2 = hierarchy.l2s[core] if hierarchy.l2s is not None else None
         l2_sets = l2._sets if l2 is not None else None
@@ -298,7 +268,7 @@ def run_fast(machine, trace: Trace):
             if hierarchy.l2s is not None
             else None
         )
-        demand_chase = machine.mpp is not None and setup.mpp_trigger == "demand"
+        demand_chase = machine._demand_chase
         c_l1_hit = {0: 0, 1: 0, 2: 0}
         c_l1_miss = {0: 0, 1: 0, 2: 0}
         c_l2_hit = {0: 0, 1: 0, 2: 0}
@@ -373,6 +343,7 @@ def run_fast(machine, trace: Trace):
             j = bisect_left(icum, icum[ws] + rob)
             closes = j <= n
             limit = j if closes else n
+            clock = run.clock
             window_icum = icum[ws]
             window_lcum = lcum[ws]
 
@@ -383,7 +354,7 @@ def run_fast(machine, trace: Trace):
             # window of pure zero-latency loads times out to all zeros.
             window_has_latency = False
             # Degraded-tier accounting: did any reference in this window
-            # drop to the full scalar body?
+            # drop to the shared replay step?
             window_took_scalar = False
 
             i = ws
@@ -414,21 +385,9 @@ def run_fast(machine, trace: Trace):
                         # reference's prefetch issues drain at the *next*
                         # reference's timestamp in the scalar loop.
                         if events:
-                            now = clock + (icum[i] - window_icum) / dispatch
-                            if tel is not None:
-                                for ev in events:
-                                    tel.emit(
-                                        now, ev.kind, line=ev.line, detail=ev.level
-                                    )
-                            for ev in events:
-                                if ev.kind == "writeback":
-                                    dram.writeback(ev.line, int(now))
-                                elif (
-                                    ev.kind == "evict_unused_pf"
-                                    and ev.level == "L3"
-                                ):
-                                    ledger.claim_eviction(ev.line)
-                            events.clear()
+                            machine._drain_events(
+                                clock + (icum[i] - window_icum) / dispatch
+                            )
                         if clean:
                             # No mutation can interrupt the run, so only
                             # the *last* touch of each line matters for
@@ -449,13 +408,16 @@ def run_fast(machine, trace: Trace):
                         i = jrun
                         continue
                     # Guaranteed but poisoned: the prediction is void —
-                    # take the scalar path and undo the prefix-sum hit.
+                    # take the replay step and undo the prefix-sum hit.
                     if diverted is None:
                         diverted = set()
                         div_counts = {}
                     diverted.add(i)
                     div_counts[kinds[i]] = div_counts.get(kinds[i], 0) + 1
 
+                line = lines[i]
+                kind = kinds[i]
+                load = is_load[i]
                 if lean:
                     # ------------------------------------------------------
                     # Lean demand cascade: demand_access inlined over the
@@ -465,11 +427,7 @@ def run_fast(machine, trace: Trace):
                     # is set on L2/L3 service hits, which stay
                     # state-visible (evict_unused_pf decisions).
                     # ------------------------------------------------------
-                    line = lines[i]
-                    kind = kinds[i]
-                    load = is_load[i]
-                    si = set_idx[i]
-                    s1 = l1_sets[si]
+                    s1 = l1_sets[set_idx[i]]
                     meta = s1.get(line)
                     if meta is not None:
                         s1.move_to_end(line)
@@ -486,18 +444,9 @@ def run_fast(machine, trace: Trace):
                             # The previous reference's prefetch-issue
                             # side effects drain at this reference's
                             # timestamp, as in the scalar loop.
-                            nowi = int(
+                            machine._drain_events(
                                 clock + (icum[i] - window_icum) / dispatch
                             )
-                            for ev in events:
-                                if ev.kind == "writeback":
-                                    dram.writeback(ev.line, nowi)
-                                elif (
-                                    ev.kind == "evict_unused_pf"
-                                    and ev.level == "L3"
-                                ):
-                                    ledger.claim_eviction(ev.line)
-                            events.clear()
                         i += 1
                         continue
                     now = clock + (icum[i] - window_icum) / dispatch
@@ -568,147 +517,32 @@ def run_fast(machine, trace: Trace):
                         residual = ledger.claim_demand(line, now)
                         if residual > 0:
                             latency += residual
-                    if load:
-                        if latency > 0.0:
-                            window_has_latency = True
-                        scalar_loads.append(
-                            (lcum[i] - window_lcum, i, deps[i], level, latency)
-                        )
-                    if events:
-                        # List order is exactly the scalar loop's: any
-                        # events pending from the previous reference,
-                        # then this cascade's fills, then the chase's.
-                        nowi = int(now)
-                        for ev in events:
-                            if ev.kind == "writeback":
-                                dram.writeback(ev.line, nowi)
-                            elif (
-                                ev.kind == "evict_unused_pf"
-                                and ev.level == "L3"
-                            ):
-                                ledger.claim_eviction(ev.line)
-                        events.clear()
-                    if snoop_misses:
-                        candidates = prefetcher.observe_miss(
-                            line, kind, kind == _STRUCTURE, core
-                        )
-                        for cand in candidates:
-                            if budget <= 0:
-                                break
-                            if machine._issue_stream_prefetch(cand, core, now):
-                                budget -= 1
-                        if imp is not None:
-                            if kind == _STRUCTURE:
-                                values = machine.layout.scan_structure_line(
-                                    line * machine._line_size,
-                                    machine._line_size,
-                                )
-                                imp_candidates = imp.observe_index_values(
-                                    values
-                                )
-                                for cand in imp_candidates:
-                                    if budget <= 0:
-                                        break
-                                    if machine._issue_stream_prefetch(
-                                        cand, core, now, issuer="imp"
-                                    ):
-                                        budget -= 1
-                            else:
-                                imp.observe_miss(line, kind, False, core)
-                    i += 1
-                    continue
-
-                # ------------------------------------------------------
-                # Scalar path: mirrors Machine._run_scalar per-reference
-                # body statement for statement.
-                # ------------------------------------------------------
-                now = clock + (icum[i] - window_icum) / dispatch
-                line = lines[i]
-                kind = kinds[i]
-                load = is_load[i]
-
-                outcome = hierarchy.demand_access(
-                    core, line, kind, is_store=not load
-                )
-                # Degraded tier: an L1 hit on a prefetched line leaves the
-                # line poisoned — every such hit must claim timeliness and
-                # count prefetch_hits, which only this scalar body does.
-                # The poison clears when the line is evicted and a demand
-                # miss re-fills it (pf=False).
-                if not degraded or outcome.level != "L1" or not outcome.prefetched:
-                    poison.discard(line)
-                level = outcome.level
-                window_took_scalar = True
-                if attr is not None and level != "L1":
-                    attr.on_demand_access(level, line)
-                if level == "L1":
-                    latency = 0.0
-                elif level == "L2":
-                    latency = float(l2_lat)
-                elif level == "L3":
-                    latency = float(l3_lat)
-                else:  # DRAM
-                    mrb.enqueue(line, c_bit=False, core=core)
-                    latency = float(dram.access(line, int(now)) + dram_path)
-                    mrb.retire(line)
-                    if tel is not None:
-                        tel.emit(
-                            now, "dram_demand", line=line, core=core, dtype=kind
-                        )
-                    if (
-                        machine.mpp is not None
-                        and setup.mpp_trigger == "demand"
-                        and kind == _STRUCTURE
-                    ):
-                        machine._chase_properties(line, core, now + latency)
-
-                if outcome.prefetched:
-                    residual = ledger.claim_demand(line, now)
-                    if residual > 0:
-                        latency += residual
-
+                else:
+                    now = clock + (icum[i] - window_icum) / dispatch
+                    level, latency = machine._demand_step(core, line, kind, load, now)
+                    # The demand access left ``line`` in the L1, where its
+                    # guaranteed-hit predictions hold again once it sits
+                    # as a demand fill.  A prefetched L1 line stays
+                    # poisoned while resident (each hit must claim
+                    # timeliness in the step), and so does a line the
+                    # step's demand-triggered chase already pushed out.
+                    meta = l1_sets[set_idx[i]].get(line)
+                    if meta is not None and not meta.prefetched:
+                        poison.discard(line)
+                    window_took_scalar = True
                 if load:
                     if latency > 0.0:
                         window_has_latency = True
                     scalar_loads.append(
                         (lcum[i] - window_lcum, i, deps[i], level, latency)
                     )
-
                 if events:
-                    if tel is not None:
-                        for ev in events:
-                            tel.emit(now, ev.kind, line=ev.line, detail=ev.level)
-                    for ev in events:
-                        if ev.kind == "writeback":
-                            dram.writeback(ev.line, int(now))
-                        elif ev.kind == "evict_unused_pf" and ev.level == "L3":
-                            ledger.claim_eviction(ev.line)
-                    events.clear()
-
-                if snoop_misses and level != "L1":
-                    candidates = prefetcher.observe_miss(
-                        line, kind, kind == _STRUCTURE, core
-                    )
-                    for cand in candidates:
-                        if budget <= 0:
-                            break
-                        if machine._issue_stream_prefetch(cand, core, now):
-                            budget -= 1
-                    if imp is not None:
-                        if kind == _STRUCTURE:
-                            values = machine.layout.scan_structure_line(
-                                line * machine._line_size, machine._line_size
-                            )
-                            imp_candidates = imp.observe_index_values(values)
-                            for cand in imp_candidates:
-                                if budget <= 0:
-                                    break
-                                if machine._issue_stream_prefetch(
-                                    cand, core, now, issuer="imp"
-                                ):
-                                    budget -= 1
-                        else:
-                            imp.observe_miss(line, kind, False, core)
+                    # List order is exactly the scalar loop's: any
+                    # events pending from the previous reference, then
+                    # this cascade's fills, then the chase's.
+                    machine._drain_events(now)
+                if snoop and level != "L1":
+                    machine._snoop_miss(run, line, kind, core, now)
                 i += 1
 
             # ----------------------------------------------------------
@@ -754,82 +588,8 @@ def run_fast(machine, trace: Trace):
             else:
                 merged = scalar_loads
 
-            num_loads = lcum[limit] - window_lcum
-            instr_in_window = icum[limit] - window_icum
-            base = instr_in_window / dispatch
-            if tel is None:
-                # Inlined compute_window_timing_sparse + CycleStack
-                # .add_window: the same float operations in the same
-                # order, minus the WindowTiming/dict churn and the
-                # telemetry-only aggregates (critical_max,
-                # bandwidth_total) nobody reads on this path.
-                exposed = 0.0
-                total = 0.0
-                if merged and window_has_latency:
-                    by_level: dict[str, float] = {}
-                    phase_size = lq if lq is not None else max(num_loads, 1)
-                    wl_refs = load_index[window_lcum : window_lcum + num_loads]
-                    pos = 0
-                    num_sparse = len(merged)
-                    for phase_begin in range(0, max(num_loads, 1), phase_size):
-                        phase_limit = phase_begin + phase_size
-                        visible_from = (
-                            int(wl_refs[phase_begin])
-                            if phase_begin < num_loads
-                            else ws
-                        )
-                        if visible_from < ws:
-                            visible_from = ws
-                        completion: dict[int, float] = {}
-                        critical = 0.0
-                        dram_total = 0.0
-                        while pos < num_sparse and merged[pos][0] < phase_limit:
-                            _, ref_index, dep_index, level, latency = merged[pos]
-                            pos += 1
-                            start = 0.0
-                            if dep_index >= visible_from:
-                                start = completion.get(dep_index, 0.0)
-                            done = start + latency
-                            completion[ref_index] = done
-                            if done > critical:
-                                critical = done
-                            if latency > 0:
-                                total += latency
-                                by_level[level] = by_level.get(level, 0.0) + latency
-                                if level == "DRAM":
-                                    dram_total += latency
-                        bandwidth_bound = dram_total / mshr
-                        exposed += (
-                            critical if critical >= bandwidth_bound
-                            else bandwidth_bound
-                        )
-                    if total > 0:
-                        scale = exposed / total
-                        for lvl, lat in by_level.items():
-                            stall[lvl] = stall.get(lvl, 0.0) + lat * scale
-                    else:  # pragma: no cover - latency>0 implies total>0
-                        for lvl in by_level:
-                            stall[lvl] = stall.get(lvl, 0.0) + 0.0
-                clock += base + exposed
-                stack.base += base
-                stack.instructions += instr_in_window
-                total_miss_latency += total
-                total_exposed += exposed
-                if degraded and window_took_scalar:
-                    windows_degraded += 1
-                if closes:
-                    budget = budget_full
-                    if has_feedback:
-                        counters = ledger.counters.get(prefetcher.name)
-                        if counters is not None:
-                            prefetcher.feedback(
-                                counters.total_issued,
-                                counters.total_useful,
-                                sum(counters.late.values()),
-                            )
-                ws = limit
-                continue
             if merged and window_has_latency:
+                num_loads = lcum[limit] - window_lcum
                 timing = compute_window_timing_sparse(
                     merged,
                     num_loads,
@@ -843,47 +603,16 @@ def run_fast(machine, trace: Trace):
                 # L1 hits): completions are all zero and the dense
                 # computation degenerates to all zeros.
                 timing = WindowTiming(0.0, 0.0, 0.0, 0.0)
-            clock += base + timing.exposed
-            stack.add_window(base, timing.exposed_by_level(), instr_in_window)
-            total_miss_latency += timing.total_miss_latency
-            total_exposed += timing.exposed
+            machine._close_window(
+                run, timing, icum[limit] - window_icum, limit if closes else None
+            )
             if degraded and window_took_scalar:
                 windows_degraded += 1
-            if closes:
-                wintel.on_window(
-                    timing, instr_in_window, base + timing.exposed
-                )
-                while (
-                    phase_ptr < num_phase_marks
-                    and phase_marks[phase_ptr][0] <= limit
-                ):
-                    tel.record_phase(phase_marks[phase_ptr][1], clock, limit)
-                    phase_ptr += 1
-                tel.on_window(clock, limit)
-                budget = budget_full
-                if has_feedback:
-                    counters = ledger.counters.get(prefetcher.name)
-                    if counters is not None:
-                        prefetcher.feedback(
-                            counters.total_issued,
-                            counters.total_useful,
-                            sum(counters.late.values()),
-                        )
-            else:
-                wintel.on_window(timing, instr_in_window, base + timing.exposed)
             ws = limit
     finally:
         hierarchy.l1_inval_log = None
         hierarchy.l1_evict_log = None
     machine.fastpath_windows_degraded += windows_degraded
-
-    if tel is not None:
-        while phase_ptr < num_phase_marks:
-            tel.record_phase(phase_marks[phase_ptr][1], clock, n)
-            phase_ptr += 1
-        tel.finish(clock, n)
-        if machine.mpp is not None:
-            machine.mpp.telemetry = None
 
     if lean:
         # Fold the lean path's local counters into the real CacheStats.
@@ -912,21 +641,9 @@ def run_fast(machine, trace: Trace):
         l3.stats.evictions += c_evict["L3"]
         l3.stats.prefetch_hits += c_l3_pfhit
 
-    refs_by_type = {dt: int((trace.kind == int(dt)).sum()) for dt in DataType}
-    return SimResult(
-        trace_name=trace.name,
-        setup_name=setup.name,
-        instructions=trace.num_instructions,
-        cycles=clock,
-        cycle_stack=stack,
-        hierarchy=hierarchy,
-        dram=dram,
-        ledger=ledger,
-        mrb=mrb,
-        mpp=machine.mpp,
-        total_miss_latency=total_miss_latency,
-        total_exposed_latency=total_exposed,
-        refs_by_type=refs_by_type,
+    return machine._finish_run(
+        run,
+        trace,
         fast_path="degraded" if degraded else "vector",
         windows_degraded=windows_degraded,
     )

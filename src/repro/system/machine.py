@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 from ..cache.hierarchy import CacheHierarchy
 from ..core.cycles import CycleStack
-from ..core.mlp import WindowTelemetry, compute_window_timing
+from ..core.mlp import WindowTelemetry, WindowTiming, compute_window_timing
 from ..dram.model import DRAMModel
 from ..dram.multichannel import MultiChannelDRAM
 from ..dram.mrb import MemoryRequestBuffer
 from ..droplet.composite import PrefetchSetup, make_prefetch_setup
 from ..droplet.mpp import MPP
 from ..memory.allocator import GraphLayout
+from ..prefetch.base import NullPrefetcher
 from ..prefetch.stats import PrefetchLedger
 from ..prefetch.stream import DataAwareStreamer
 from ..trace.buffer import Trace
@@ -158,7 +159,7 @@ class Machine:
         setup: PrefetchSetup | str | None = None,
         chased_property: str | tuple[str, ...] | None = None,
         telemetry=None,
-        fast_path: str | bool = "auto",
+        fast_path: str = "auto",
     ):
         self.config = config or SystemConfig.scaled_baseline()
         if isinstance(setup, str):
@@ -191,13 +192,25 @@ class Machine:
         if self.setup.imp_engine is not None and layout is None:
             raise ValueError("the IMP setup requires a GraphLayout (index values)")
         self._line_size = self.config.l3.line_size
+        self._l2_latency = float(self.config.l2_service_latency)
+        self._l3_latency = float(self.config.l3_service_latency)
+        self._dram_path = self.config.dram_base_latency
+        self._demand_chase = (
+            self.mpp is not None and self.setup.mpp_trigger == "demand"
+        )
+        self._has_feedback = hasattr(self.setup.l2_prefetcher, "feedback")
+        # The null prefetcher's snoop is a guaranteed no-op; skipping the
+        # call leaves results untouched and the miss path leaner.
+        self._snoops_misses = self.setup.imp_engine is not None or not isinstance(
+            self.setup.l2_prefetcher, NullPrefetcher
+        )
+        self.fast_path = self._resolve_fast_path(fast_path)
+        #: ROB windows the degraded fast-path tier had to route through
+        #: the replay step (0 unless ``fast_path == "degraded"`` ran).
+        self.fastpath_windows_degraded = 0
         # Disabled/absent telemetry both normalize to None, so the run
         # loop guards on a plain ``is not None`` and a disabled session
         # costs exactly nothing.
-        self.fast_path = self._resolve_fast_path(fast_path)
-        #: ROB windows the degraded fast-path tier had to route through
-        #: the scalar body (0 unless ``fast_path == "degraded"`` ran).
-        self.fastpath_windows_degraded = 0
         if telemetry is not None and not getattr(telemetry, "enabled", False):
             telemetry = None
         self._telemetry = telemetry
@@ -409,39 +422,20 @@ class Machine:
                 mrb.enqueue(pline, c_bit=True, core=rcore)
                 mrb.retire(pline)
 
-    def _resolve_fast_path(self, mode: str | bool) -> str | bool:
+    def _resolve_fast_path(self, mode: str) -> str | bool:
         """Normalize a fast-path selector to a replay tier for this setup.
 
-        Returns ``False`` (scalar reference path), ``"vector"`` (batch
-        replay with fully vectorized guaranteed-hit runs), or
-        ``"degraded"`` (batch replay with per-window scalar degradation,
-        used for setups that prefetch-fill the L1, where the
-        stack-distance filter alone is unsound).  ``"auto"`` and ``"on"``
-        both pick the sound tier for the configured prefetch setup;
-        ``"vector"`` demands the fully vectorized tier, raising for
-        L1-filling setups; ``"off"`` forces the scalar path.  Booleans
-        behave like ``"on"``/``"off"``.
+        ``"off"`` forces the scalar reference path (``False``).
+        ``"auto"`` picks the batch replay's sound tier: ``"vector"``
+        (fully vectorized guaranteed-hit runs) or, for setups that
+        prefetch-fill the L1, where the stack-distance filter alone is
+        unsound, ``"degraded"`` (per-window scalar degradation).
         """
-        from .fastreplay import eligible_setup
-
-        if isinstance(mode, bool):
-            mode = "on" if mode else "off"
         if mode == "off":
             return False
-        if mode in ("auto", "on"):
-            return "vector" if eligible_setup(self.setup) else "degraded"
-        if mode == "vector":
-            if not eligible_setup(self.setup):
-                raise ValueError(
-                    "fast_path='vector' is unsound for setup %r "
-                    "(it prefetch-fills the L1); use 'auto'/'on' "
-                    "(degraded tier) or 'off'" % self.setup.name
-                )
-            return "vector"
-        raise ValueError(
-            "fast_path must be 'auto', 'on', 'vector', 'off', or a bool "
-            "(got %r)" % (mode,)
-        )
+        if mode == "auto":
+            return "degraded" if self.setup.fill_into_l1 else "vector"
+        raise ValueError("fast_path must be auto|off (got %r)" % (mode,))
 
     def _plan_key(self) -> tuple[int, int, int]:
         """Replay-plan cache key: exactly the geometry the planner reads.
@@ -489,192 +483,207 @@ class Machine:
 
     def _run_scalar(self, trace: Trace) -> SimResult:
         """Reference per-reference replay loop (the parity oracle)."""
+        cursor = _TraceCursor(self, trace)
+        while not cursor.done:
+            self._replay_window(cursor)
+        return self._finish_run(cursor, trace)
+
+    # ------------------------------------------------------------------
+    # The replay step.  Every replay loop (scalar, batch, multicore) is
+    # built from these methods; the batch replay's lean cascade is the
+    # only other implementation of the demand step.
+    # ------------------------------------------------------------------
+    def _replay_window(self, cursor: "_TraceCursor") -> None:
+        """Replay one ROB window of ``cursor``'s trace, reference by reference."""
         cfg = self.config
-        hierarchy = self.hierarchy
-        dram = self.dram
-        ledger = self.ledger
-        prefetcher = self.setup.l2_prefetcher
-        imp = self.setup.imp_engine
-        events = hierarchy.events
-
-        # Plain Python lists iterate ~2x faster than numpy scalars here.
-        lines = (trace.addr // self._line_size).tolist()
-        kinds = trace.kind.tolist()
-        is_load = trace.is_load.tolist()
-        deps = trace.dep.tolist()
-        gaps = trace.gap.tolist()
-        n = len(trace)
-        core = trace.core
-
-        l2_lat = cfg.l2_service_latency
-        l3_lat = cfg.l3_service_latency
-        dram_path = cfg.dram_base_latency
         dispatch = cfg.dispatch_width
         rob = cfg.rob_entries
-        mshr = cfg.mshr_entries
-        lq = cfg.load_queue
-
-        has_feedback = hasattr(prefetcher, "feedback")
-        clock = 0.0
-        stack = CycleStack()
-        total_miss_latency = 0.0
-        total_exposed = 0.0
+        events = self.hierarchy.events
+        snoop = self._snoops_misses
+        lines = cursor.lines
+        kinds = cursor.kinds
+        is_load = cursor.is_load
+        deps = cursor.deps
+        gaps = cursor.gaps
+        core = cursor.core
+        clock = cursor.clock
+        n = len(lines)
         window_loads: list[tuple[int, int, str, float]] = []
-        window_start = 0
-        instr_in_window = 0
-        budget = cfg.prefetch_budget_per_window
-
-        # Telemetry (None when disabled): sampling and phase handling
-        # happen only at window boundaries; event emission sits behind
-        # per-site ``tel is not None`` guards.  Nothing below mutates
-        # simulator state, so results are identical either way.
-        tel = self._telemetry
-        wintel = self._window_telemetry
-        attr = self._attribution
-        phase_marks = getattr(trace, "phases", [])
-        phase_ptr = 0
-        num_phase_marks = len(phase_marks) if tel is not None else 0
-
-        for i in range(n):
-            now = clock + instr_in_window / dispatch
-            instr_in_window += 1 + gaps[i]
+        window_start = i = cursor.pos
+        instr = 0
+        while i < n and instr < rob:
+            now = clock + instr / dispatch
+            instr += 1 + gaps[i]
             line = lines[i]
             kind = kinds[i]
             load = is_load[i]
-
-            outcome = hierarchy.demand_access(core, line, kind, is_store=not load)
-            level = outcome.level
-            if attr is not None and level != "L1":
-                # The L2's reference stream is exactly the L1 misses;
-                # attribution reads but never writes simulator state.
-                attr.on_demand_access(level, line)
-            if level == "L1":
-                latency = 0.0
-            elif level == "L2":
-                latency = float(l2_lat)
-            elif level == "L3":
-                latency = float(l3_lat)
-            else:  # DRAM
-                self.mrb.enqueue(line, c_bit=False, core=core)
-                latency = float(dram.access(line, int(now)) + dram_path)
-                self.mrb.retire(line)
-                if tel is not None:
-                    tel.emit(now, "dram_demand", line=line, core=core, dtype=kind)
-                if (
-                    self.mpp is not None
-                    and self.setup.mpp_trigger == "demand"
-                    and kind == _STRUCTURE
-                ):
-                    # Table IV counterfactual: chase structure *demand*
-                    # fills.  The structure line reaches the MC at
-                    # ``now + latency``; property prefetches start there —
-                    # typically too late for the imminent consumer loads.
-                    self._chase_properties(line, core, now + latency)
-
-            if outcome.prefetched:
-                residual = ledger.claim_demand(line, now)
-                if residual > 0:
-                    latency += residual
-
+            level, latency = self._demand_step(core, line, kind, load, now)
             if load:
                 window_loads.append((i, deps[i], level, latency))
-
             if events:
-                if tel is not None:
-                    for ev in events:
-                        tel.emit(now, ev.kind, line=ev.line, detail=ev.level)
-                for ev in events:
-                    if ev.kind == "writeback":
-                        dram.writeback(ev.line, int(now))
-                    elif ev.kind == "evict_unused_pf" and ev.level == "L3":
-                        ledger.claim_eviction(ev.line)
-                events.clear()
+                self._drain_events(now)
+            if snoop and level != "L1":
+                self._snoop_miss(cursor, line, kind, core, now)
+            i += 1
+        cursor.pos = i
+        timing = compute_window_timing(
+            window_loads, window_start, cfg.mshr_entries, cfg.load_queue
+        )
+        # The window closes after the reference that fills the ROB; a
+        # shorter window is the trace's final, partial one.
+        self._close_window(cursor, timing, instr, i if instr >= rob else None)
 
-            if level != "L1":
-                # The L2-attached prefetchers snoop every L1 miss address
-                # (paper Fig. 9); structure tagging comes from the page
-                # table bit, which our allocator guarantees equals the
-                # data type.
-                candidates = prefetcher.observe_miss(
-                    line, kind, kind == _STRUCTURE, core
+    def _demand_step(
+        self, core: int, line: int, kind: int, load: bool, now: float
+    ) -> tuple[str, float]:
+        """One demand reference through the hierarchy, DRAM and the ledger.
+
+        Returns the servicing level and the reference's beyond-L1
+        latency, including any residual wait on a late prefetch.
+        """
+        outcome = self.hierarchy.demand_access(core, line, kind, is_store=not load)
+        level = outcome.level
+        if self._attribution is not None and level != "L1":
+            # The L2's reference stream is exactly the L1 misses;
+            # attribution reads but never writes simulator state.
+            self._attribution.on_demand_access(level, line)
+        if level == "L1":
+            latency = 0.0
+        elif level == "L2":
+            latency = self._l2_latency
+        elif level == "L3":
+            latency = self._l3_latency
+        else:  # DRAM
+            self.mrb.enqueue(line, c_bit=False, core=core)
+            latency = float(self.dram.access(line, int(now)) + self._dram_path)
+            self.mrb.retire(line)
+            if self._telemetry is not None:
+                self._telemetry.emit(
+                    now, "dram_demand", line=line, core=core, dtype=kind
                 )
-                for cand in candidates:
-                    if budget <= 0:
-                        break
-                    if self._issue_stream_prefetch(cand, core, now):
-                        budget -= 1
-                if imp is not None:
-                    if kind == _STRUCTURE:
-                        # The index line arrives at the L1; IMP sees the
-                        # values inside it and chases active patterns.
-                        values = self.layout.scan_structure_line(
-                            line * self._line_size, self._line_size
-                        )
-                        imp_candidates = imp.observe_index_values(values)
-                        for cand in imp_candidates:
-                            if budget <= 0:
-                                break
-                            if self._issue_stream_prefetch(
-                                cand, core, now, issuer="imp"
-                            ):
-                                budget -= 1
-                    else:
-                        imp.observe_miss(line, kind, False, core)
+            if self._demand_chase and kind == _STRUCTURE:
+                # Table IV counterfactual: chase structure *demand*
+                # fills.  The structure line reaches the MC at
+                # ``now + latency``; property prefetches start there —
+                # typically too late for the imminent consumer loads.
+                self._chase_properties(line, core, now + latency)
+        if outcome.prefetched:
+            residual = self.ledger.claim_demand(line, now)
+            if residual > 0:
+                latency += residual
+        return level, latency
 
-            if instr_in_window >= rob:
-                timing = compute_window_timing(window_loads, window_start, mshr, lq)
-                base = instr_in_window / dispatch
-                clock += base + timing.exposed
-                stack.add_window(base, timing.exposed_by_level(), instr_in_window)
-                total_miss_latency += timing.total_miss_latency
-                total_exposed += timing.exposed
-                if tel is not None:
-                    wintel.on_window(timing, instr_in_window, base + timing.exposed)
-                    while (
-                        phase_ptr < num_phase_marks
-                        and phase_marks[phase_ptr][0] <= i + 1
-                    ):
-                        tel.record_phase(phase_marks[phase_ptr][1], clock, i + 1)
-                        phase_ptr += 1
-                    tel.on_window(clock, i + 1)
-                window_loads = []
-                window_start = i + 1
-                instr_in_window = 0
-                budget = cfg.prefetch_budget_per_window
-                if has_feedback:
-                    # Feedback-directed prefetching [53]: hand the issuer
-                    # its own cumulative accuracy/lateness counters.
-                    counters = ledger.counters.get(prefetcher.name)
-                    if counters is not None:
-                        prefetcher.feedback(
-                            counters.total_issued,
-                            counters.total_useful,
-                            sum(counters.late.values()),
-                        )
+    def _drain_events(self, now: float) -> None:
+        """Apply the hierarchy's queued side effects at time ``now``."""
+        events = self.hierarchy.events
+        tel = self._telemetry
+        if tel is not None:
+            for ev in events:
+                tel.emit(now, ev.kind, line=ev.line, detail=ev.level)
+        for ev in events:
+            if ev.kind == "writeback":
+                self.dram.writeback(ev.line, int(now))
+            elif ev.kind == "evict_unused_pf" and ev.level == "L3":
+                self.ledger.claim_eviction(ev.line)
+        events.clear()
 
-        if instr_in_window > 0 or window_loads:
-            timing = compute_window_timing(window_loads, window_start, mshr, lq)
-            base = instr_in_window / dispatch
-            clock += base + timing.exposed
-            stack.add_window(base, timing.exposed_by_level(), instr_in_window)
-            total_miss_latency += timing.total_miss_latency
-            total_exposed += timing.exposed
-            if tel is not None:
-                wintel.on_window(timing, instr_in_window, base + timing.exposed)
+    def _snoop_miss(
+        self, run: "_RunState", line: int, kind: int, core: int, now: float
+    ) -> None:
+        """Let the L2-attached prefetchers react to one L1 miss.
 
+        They snoop every L1 miss address (paper Fig. 9); structure
+        tagging comes from the page table bit, which our allocator
+        guarantees equals the data type.  Issues draw on the window's
+        prefetch budget in ``run``.
+        """
+        for cand in self.setup.l2_prefetcher.observe_miss(
+            line, kind, kind == _STRUCTURE, core
+        ):
+            if run.budget <= 0:
+                break
+            if self._issue_stream_prefetch(cand, core, now):
+                run.budget -= 1
+        imp = self.setup.imp_engine
+        if imp is None:
+            return
+        if kind != _STRUCTURE:
+            imp.observe_miss(line, kind, False, core)
+            return
+        # The index line arrives at the L1; IMP sees the values inside
+        # it and chases active patterns.
+        values = self.layout.scan_structure_line(
+            line * self._line_size, self._line_size
+        )
+        for cand in imp.observe_index_values(values):
+            if run.budget <= 0:
+                break
+            if self._issue_stream_prefetch(cand, core, now, issuer="imp"):
+                run.budget -= 1
+
+    def _close_window(
+        self,
+        run: "_RunState",
+        timing: WindowTiming,
+        instructions: int,
+        end: int | None = None,
+    ) -> None:
+        """Fold one window's timing into ``run``.
+
+        ``end`` is the trace index after a window the ROB closed; it is
+        ``None`` for the trace's final, partial window, which neither
+        samples telemetry nor resets the prefetch budget.
+        """
+        base = instructions / self.config.dispatch_width
+        run.clock += base + timing.exposed
+        run.stack.add_window(base, timing.exposed_by_level(), instructions)
+        run.miss_latency += timing.total_miss_latency
+        run.exposed += timing.exposed
+        tel = self._telemetry
+        if tel is not None:
+            self._window_telemetry.on_window(
+                timing, instructions, base + timing.exposed
+            )
+        if end is None:
+            return
+        if tel is not None:
+            marks = run.phase_marks
+            while run.phase_ptr < len(marks) and marks[run.phase_ptr][0] <= end:
+                tel.record_phase(marks[run.phase_ptr][1], run.clock, end)
+                run.phase_ptr += 1
+            tel.on_window(run.clock, end)
+        run.budget = self.config.prefetch_budget_per_window
+        if self._has_feedback:
+            # Feedback-directed prefetching [53]: hand the issuer its
+            # own cumulative accuracy/lateness counters.
+            prefetcher = self.setup.l2_prefetcher
+            counters = self.ledger.counters.get(prefetcher.name)
+            if counters is not None:
+                prefetcher.feedback(
+                    counters.total_issued,
+                    counters.total_useful,
+                    sum(counters.late.values()),
+                )
+
+    def _finish_run(self, run: "_RunState", trace: Trace, **tier) -> SimResult:
+        """Close telemetry for ``run`` and package its :class:`SimResult`.
+
+        ``tier`` carries the batch replay's ``fast_path`` and
+        ``windows_degraded`` fields.
+        """
+        tel = self._telemetry
         if tel is not None:
             # Flush phase marks past the last window close (including a
             # boundary hit exactly when the reference budget ran out).
-            while phase_ptr < num_phase_marks:
-                tel.record_phase(phase_marks[phase_ptr][1], clock, n)
-                phase_ptr += 1
-            tel.finish(clock, n)
+            n = len(trace)
+            for _, phase in run.phase_marks[run.phase_ptr :]:
+                tel.record_phase(phase, run.clock, n)
+            tel.finish(run.clock, n)
             # Detach the session from the MPP: the run is over, and the
             # returned SimResult must stay picklable (the registry's
             # closure-backed gauges are not).
             if self.mpp is not None:
                 self.mpp.telemetry = None
-
         refs_by_type = {
             dt: int((trace.kind == int(dt)).sum()) for dt in DataType
         }
@@ -682,14 +691,61 @@ class Machine:
             trace_name=trace.name,
             setup_name=self.setup.name,
             instructions=trace.num_instructions,
-            cycles=clock,
-            cycle_stack=stack,
-            hierarchy=hierarchy,
-            dram=dram,
-            ledger=ledger,
+            cycles=run.clock,
+            cycle_stack=run.stack,
+            hierarchy=self.hierarchy,
+            dram=self.dram,
+            ledger=self.ledger,
             mrb=self.mrb,
             mpp=self.mpp,
-            total_miss_latency=total_miss_latency,
-            total_exposed_latency=total_exposed,
+            total_miss_latency=run.miss_latency,
+            total_exposed_latency=run.exposed,
             refs_by_type=refs_by_type,
+            **tier,
         )
+
+
+class _RunState:
+    """One trace's replay accumulators, advanced window by window."""
+
+    __slots__ = (
+        "clock",
+        "stack",
+        "miss_latency",
+        "exposed",
+        "budget",
+        "phase_marks",
+        "phase_ptr",
+    )
+
+    def __init__(self, machine: Machine, trace: Trace):
+        self.clock = 0.0
+        self.stack = CycleStack()
+        self.miss_latency = 0.0
+        self.exposed = 0.0
+        self.budget = machine.config.prefetch_budget_per_window
+        # Phase marks are only read with telemetry on.
+        self.phase_marks = getattr(trace, "phases", [])
+        self.phase_ptr = 0
+
+
+class _TraceCursor(_RunState):
+    """A :class:`_RunState` plus the position of the per-reference loop."""
+
+    __slots__ = ("lines", "kinds", "is_load", "deps", "gaps", "core", "pos")
+
+    def __init__(self, machine: Machine, trace: Trace):
+        super().__init__(machine, trace)
+        # Plain Python lists iterate ~2x faster than numpy scalars here.
+        self.lines = (trace.addr // machine._line_size).tolist()
+        self.kinds = trace.kind.tolist()
+        self.is_load = trace.is_load.tolist()
+        self.deps = trace.dep.tolist()
+        self.gaps = trace.gap.tolist()
+        self.core = trace.core
+        self.pos = 0
+
+    @property
+    def done(self) -> bool:
+        """Whether every reference has been replayed."""
+        return self.pos >= len(self.lines)

@@ -34,7 +34,7 @@ def _simulate_resolved(
     setup: PrefetchSetup,
     chased,
     telemetry=None,
-    fast_path: str | bool = "auto",
+    fast_path: str = "auto",
 ) -> SimResult:
     """Build a fresh :class:`Machine` and replay ``run`` (internal core)."""
     machine = Machine(
@@ -54,7 +54,7 @@ def simulate(
     setup: PrefetchSetup | str = "none",
     multi_property: bool = False,
     telemetry=None,
-    fast_path: str | bool = "auto",
+    fast_path: str = "auto",
 ) -> SimResult:
     """Simulate one traced workload run.
 
@@ -68,9 +68,10 @@ def simulate(
     reads its timeline/events afterwards).  ``None`` or a disabled
     session leaves the run un-instrumented, with bit-identical results.
 
-    ``fast_path`` selects the batch-replay engine: ``"auto"`` (default)
-    uses it whenever sound for ``setup``, ``"on"`` requires it, ``"off"``
-    forces the scalar reference loop.  Results are bit-identical.
+    ``fast_path`` selects the replay engine: ``"auto"`` (default)
+    batch-replays in the tier that is sound for ``setup`` (see
+    :mod:`repro.system.fastreplay`), ``"off"`` forces the scalar
+    reference loop.  Results are bit-identical either way.
     """
     if isinstance(setup, str):
         setup = make_prefetch_setup(setup)

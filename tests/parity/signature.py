@@ -76,7 +76,7 @@ def run_both_paths(make_machine, trace):
     """
     scalar = make_machine("off")
     sig_scalar = machine_signature(scalar.run(trace), scalar)
-    fast = make_machine("on")
+    fast = make_machine("auto")
     result = fast.run(trace)
-    assert result.fast_path, "fast_path='on' did not take the fast path"
+    assert result.fast_path, "fast_path='auto' did not take the fast path"
     return sig_scalar, machine_signature(result, fast), result

@@ -2,7 +2,7 @@
 
 Every workload in the registry runs across the full prefetcher matrix;
 each (workload, setup) pair is simulated twice — ``fast_path='off'``
-(the scalar reference oracle) and ``fast_path='on'`` — and the two runs
+(the scalar reference oracle) and ``fast_path='auto'`` — and the two runs
 must produce *bit-identical* signatures: cycles, cycle stacks, per-level
 per-type counters, DRAM statistics, and complete cache contents
 including LRU orderings (see :mod:`tests.parity.signature`).
@@ -17,8 +17,10 @@ Two scopes keep PR latency bounded (the ``parity-prefetch`` CI job):
   label).
 
 monoDROPLETL1 and imp prefetch-fill the L1, so they replay in the
-*degraded* tier (per-window scalar fallback, still bit-identical); the
-explicit ``fast_path='vector'`` mode is the only one that refuses them.
+*degraded* tier (per-window scalar fallback, still bit-identical).
+
+A one-core ``run_multicore`` replays through the machine's own window
+step, so it must match the scalar oracle for every setup it supports.
 """
 
 import os
@@ -26,11 +28,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.system import Machine, SystemConfig
+from repro.droplet.composite import EXTENDED_CONFIG_NAMES
+from repro.system import Machine, SystemConfig, run_multicore
 from repro.trace import DataType, TraceBuffer
 from repro.workloads.registry import WORKLOADS, get_workload
 
-from .signature import machine_signature, run_both_paths
+from .signature import _cache_contents, _stats_sig, machine_signature, run_both_paths
 
 MAX_REFS = 20_000
 SETUPS = ("none", "stream", "droplet")
@@ -98,42 +101,33 @@ def test_prefetch_matrix_is_bit_identical(workload_runs, workload, setup):
 
 
 def test_auto_mode_matches_forced_modes(workload_runs):
-    """``fast_path='auto'`` picks the fast path for eligible setups and
-    produces the same results as both forced modes."""
+    """``fast_path='auto'`` picks the vector tier for eligible setups and
+    produces the same results as the forced scalar mode."""
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
     results = {}
-    for mode in ("off", "on", "auto", "vector"):
+    for mode in ("off", "auto"):
         m = Machine(cfg, layout=run.layout, setup="none", fast_path=mode)
         results[mode] = (machine_signature(m.run(run.trace), m), m)
-    assert (
-        results["off"][0]
-        == results["on"][0]
-        == results["auto"][0]
-        == results["vector"][0]
-    )
+    assert results["auto"][1].fast_path == "vector"
+    assert results["off"][0] == results["auto"][0]
+
+
+@pytest.mark.parametrize("mode", ["on", "vector", "scalar", True, False, None])
+def test_fast_path_accepts_only_auto_or_off(mode):
+    with pytest.raises(ValueError, match="auto|off"):
+        Machine(SystemConfig.scaled_baseline(), setup="none", fast_path=mode)
 
 
 @pytest.mark.parametrize("name", ["monoDROPLETL1", "imp"])
 def test_l1_filling_setups_take_degraded_tier(workload_runs, name):
     """L1-prefetch-filling setups batch-replay in the degraded tier:
-    bit-identical results, per-window scalar fallback counted, and only
-    the explicit 'vector' mode refuses them."""
-    from repro.droplet.composite import make_prefetch_setup
-    from repro.system.fastreplay import eligible_setup
-
-    assert not eligible_setup(make_prefetch_setup(name))
+    bit-identical results and per-window scalar fallback counted."""
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
 
-    # Forcing the fully vectorized tier on an unsound geometry raises.
-    with pytest.raises(ValueError):
-        Machine(cfg, layout=run.layout, setup=name, fast_path="vector")
-
-    # 'on' and 'auto' resolve to the degraded tier.
-    for mode in ("on", "auto"):
-        m = Machine(cfg, layout=run.layout, setup=name, fast_path=mode)
-        assert m.fast_path == "degraded", mode
+    m = Machine(cfg, layout=run.layout, setup=name, fast_path="auto")
+    assert m.fast_path == "degraded"
 
     def make_machine(fast_path):
         return Machine(cfg, layout=run.layout, setup=name, fast_path=fast_path)
@@ -152,7 +146,7 @@ def test_degraded_windows_counter_is_exposed(workload_runs, name):
     run = workload_runs[REDUCED_WORKLOADS[0]]
     cfg = SystemConfig.scaled_baseline()
     tel = Telemetry(interval_cycles=50_000)
-    m = Machine(cfg, layout=run.layout, setup=name, fast_path="on", telemetry=tel)
+    m = Machine(cfg, layout=run.layout, setup=name, fast_path="auto", telemetry=tel)
     m.run(run.trace)
     assert m.fastpath_windows_degraded > 0
     gauge = tel.registry.get("fastpath.windows_degraded")
@@ -160,7 +154,7 @@ def test_degraded_windows_counter_is_exposed(workload_runs, name):
     assert gauge.value == m.fastpath_windows_degraded
 
     # The vector tier never degrades a window.
-    m2 = Machine(cfg, layout=run.layout, setup="droplet", fast_path="on")
+    m2 = Machine(cfg, layout=run.layout, setup="droplet", fast_path="auto")
     result = m2.run(run.trace)
     assert result.fast_path == "vector"
     assert m2.fastpath_windows_degraded == 0
@@ -177,7 +171,7 @@ def test_pollution_taxonomy_counters_match(workload_runs, setup):
     cfg = SystemConfig.scaled_baseline()
 
     payloads = {}
-    for mode in ("off", "on"):
+    for mode in ("off", "auto"):
         tel = Telemetry(interval_cycles=50_000, attribution=True)
         m = Machine(cfg, layout=run.layout, setup=setup, fast_path=mode, telemetry=tel)
         m.run(run.trace)
@@ -186,7 +180,42 @@ def test_pollution_taxonomy_counters_match(workload_runs, setup):
             machine_signature_with_pollution(m),
             m._attribution.as_dict(),
         )
-    assert payloads["off"] == payloads["on"]
+    assert payloads["off"] == payloads["auto"]
+
+
+#: ``run_multicore`` refuses the single-core-only IMP comparison point.
+MULTICORE_SETUPS = tuple(s for s in EXTENDED_CONFIG_NAMES if s != "imp")
+
+
+@pytest.mark.parametrize("setup", MULTICORE_SETUPS)
+@pytest.mark.parametrize("workload", ["CC", "PR", "PR-EDGE"])
+def test_one_core_multicore_matches_machine(workload_runs, workload, setup):
+    """One core through ``run_multicore`` is the scalar oracle: same
+    cycles, cycle stack, per-level cache stats and contents, and DRAM
+    stats — including the adaptive streamer, whose per-window feedback
+    changes its degree mid-run on CC and PR-EDGE."""
+    run = workload_runs[workload]
+    cfg = SystemConfig.scaled_baseline()
+    m = Machine(cfg, layout=run.layout, setup=setup, fast_path="off")
+    result = m.run(run.trace)
+    multi = run_multicore([run.trace], config=cfg, layout=run.layout, setup=setup)
+
+    def sig(cycles, stack, machine):
+        h = machine.hierarchy
+        levels = [h.l1s[0]] + list(h.l2s or []) + [h.l3]
+        return (
+            cycles,
+            stack.base,
+            sorted(stack.stall.items()),
+            stack.instructions,
+            [_stats_sig(level.stats) for level in levels],
+            sorted(vars(machine.dram.stats).items()),
+            [_cache_contents(level, include_used=True) for level in levels],
+        )
+
+    assert sig(multi.cycles, multi.per_core_stacks[0], multi.machine) == sig(
+        result.cycles, result.cycle_stack, m
+    )
 
 
 def machine_signature_with_pollution(machine):

@@ -75,11 +75,11 @@ def both_signatures(cfg, trace, setup):
     """Run scalar and fast paths; ``setup`` is a name or a zero-argument
     factory (each machine must get fresh prefetcher state)."""
     sigs = []
-    for mode in ("off", "on"):
+    for mode in ("off", "auto"):
         built = setup() if callable(setup) else setup
         m = Machine(cfg, setup=built, fast_path=mode)
         result = m.run(trace)
-        if mode == "on":
+        if mode == "auto":
             assert result.fast_path
         sigs.append(machine_signature(result, m))
     return sigs
@@ -119,7 +119,7 @@ class TestPrefetchWindowFuzz:
             )
 
         cfg = SystemConfig.scaled_baseline()
-        m = Machine(cfg, setup=l1_stream(), fast_path="on")
+        m = Machine(cfg, setup=l1_stream(), fast_path="auto")
         assert m.fast_path == "degraded"
         scalar, fast = both_signatures(cfg, build_trace(segs), l1_stream)
         assert scalar == fast
@@ -149,7 +149,7 @@ class TestPlanCacheInvalidationFuzz:
             cached = getattr(trace, "_replay_tables", None)
             assert cached is not None
             geometry, _tables = cached
-            m = Machine(cfg, setup="none", fast_path="on")
+            m = Machine(cfg, setup="none", fast_path="auto")
             assert geometry == m._plan_key()
 
     def test_plan_cache_is_reused_for_same_geometry(self):
@@ -157,10 +157,10 @@ class TestPlanCacheInvalidationFuzz:
         (no silent replan), and results still match the oracle."""
         cfg = SystemConfig.scaled_baseline()
         trace = build_trace([(0, 0, 32, 0, 1), (3, 1, 32, 1, 1)])
-        Machine(cfg, setup="none", fast_path="on").run(trace)
+        Machine(cfg, setup="none", fast_path="auto").run(trace)
         first = trace._replay_tables
-        Machine(cfg, setup="none", fast_path="on").run(trace)
+        Machine(cfg, setup="none", fast_path="auto").run(trace)
         assert trace._replay_tables[1] is first[1]
         alt = _l1_variant(cfg, 2, 2)
-        Machine(alt, setup="none", fast_path="on").run(trace)
+        Machine(alt, setup="none", fast_path="auto").run(trace)
         assert trace._replay_tables[1] is not first[1]

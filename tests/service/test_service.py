@@ -82,6 +82,7 @@ class TestParseSpec:
             {"run_id": ""},
             {"mystery_field": 1},
             {"workloads": []},
+            {"fast_path": "on"},
         ],
     )
     def test_rejects_bad_specs(self, bad):

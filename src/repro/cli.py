@@ -584,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for figures with parallel drivers (4/11)",
+        help="worker processes for the figures' simulation points; "
+        "0/1 runs serially in-process",
     )
 
     sub.add_parser("tables", help="print Tables I-V and overhead report")
@@ -662,11 +663,11 @@ def _cmd_sweep(args) -> int:
         for dataset in args.datasets
         for setup in dict.fromkeys(["none", *args.setups])
     ]
-    retry = RetryPolicy(
-        max_attempts=max(1, args.retries + 1),
-        timeout=args.timeout,
-        backoff=args.backoff,
-    )
+    try:
+        retry = RetryPolicy.from_knobs(args.retries, args.timeout, args.backoff)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     ledger = None
     run_id = args.resume or args.run_id
     if not args.no_ledger:
@@ -769,6 +770,7 @@ def _cmd_pareto(args) -> int:
             eta=args.eta,
             min_refs=min(args.min_refs, args.max_refs),
         )
+        retry = RetryPolicy.from_knobs(args.retries, args.timeout, args.backoff)
         search = ParetoSearch(
             workload=args.workload,
             dataset=args.dataset,
@@ -840,11 +842,7 @@ def _cmd_pareto(args) -> int:
             workers=args.workers,
             trace_cache=False if args.no_trace_cache else None,
             return_full=False,
-            retry=RetryPolicy(
-                max_attempts=max(1, args.retries + 1),
-                timeout=args.timeout,
-                backoff=args.backoff,
-            ),
+            retry=retry,
             faults=faults,
             ledger=ledger,
             tracer=tracer,
@@ -896,26 +894,15 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
-#: Figure runners that accept a SweepRunner for parallel execution.
-_PARALLEL_FIGURES = {"fig04a", "fig04b", "fig04c", "fig11a", "fig11b"}
-
-
 def _cmd_figure(args) -> int:
-    from .experiments.common import ExperimentConfig
+    from .experiments.common import ExperimentConfig, make_runner
 
     cfg = ExperimentConfig.quick() if args.quick else ExperimentConfig()
-    runner = None
-    if args.workers >= 2:
-        from .experiments.common import make_runner
-
-        runner = make_runner(args.workers)
+    runner = make_runner(args.workers) if args.workers >= 2 else None
     runners = _figure_runners()
     names = sorted(runners) if args.name == "all" else [args.name]
     for name in names:
-        if runner is not None and name in _PARALLEL_FIGURES:
-            print(runners[name](cfg, runner=runner).to_text())
-        else:
-            print(runners[name](cfg).to_text())
+        print(runners[name](cfg, runner=runner).to_text())
         print()
     return 0
 

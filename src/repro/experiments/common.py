@@ -5,8 +5,11 @@ Every figure module consumes an :class:`ExperimentConfig` naming the
 :class:`ExperimentResult` — a titled list of report rows that renders as
 an aligned text table (the same rows/series the paper's figure plots).
 
-Graphs, traces and simulation results are cached per-process so that the
-benchmark suite does not regenerate the same trace for every figure.
+Every figure driver settles its simulation points through a
+:class:`~repro.runtime.sweep.SweepRunner`: the one passed as ``runner=``
+or, by default, one process-wide serial runner whose in-memory trace memo
+sits in front of the shared on-disk trace cache, so a process loads each
+trace once across every figure.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ __all__ = [
     "ExperimentResult",
     "get_graph",
     "get_trace_run",
+    "default_runner",
     "make_runner",
+    "run_points",
     "geomean",
     "render_table",
     "clear_caches",
@@ -74,24 +79,10 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Caches
+# Caches and the figure runner
 # ----------------------------------------------------------------------
-# In-process memoization sits in front of the shared on-disk trace cache
-# (repro.runtime.trace_cache): first use in a process pays one disk load
-# (or one trace generation, stored for every later experiment and run).
 _GRAPH_CACHE: dict[tuple, CSRGraph] = {}
-_TRACE_CACHE: dict[tuple, TraceRun] = {}
-_DISK_CACHE = None
-
-
-def _disk_cache():
-    """The process-wide on-disk trace cache (lazily constructed)."""
-    global _DISK_CACHE
-    if _DISK_CACHE is None:
-        from ..runtime.trace_cache import TraceCache
-
-        _DISK_CACHE = TraceCache()
-    return _DISK_CACHE
+_RUNNER = None
 
 
 def get_graph(name: str, weighted: bool = False, scale_shift: int = 0) -> CSRGraph:
@@ -100,31 +91,6 @@ def get_graph(name: str, weighted: bool = False, scale_shift: int = 0) -> CSRGra
     if key not in _GRAPH_CACHE:
         _GRAPH_CACHE[key] = make_dataset(name, scale_shift=scale_shift, weighted=weighted)
     return _GRAPH_CACHE[key]
-
-
-def get_trace_run(
-    workload: str, dataset: str, max_refs: int, scale_shift: int = 0
-) -> TraceRun:
-    """Cached workload tracing with the workload's recommended warm-up skip.
-
-    Backed by the on-disk trace cache, so traces persist across processes
-    and runs; disable with ``REPRO_TRACE_CACHE=off`` (see
-    :mod:`repro.runtime.trace_cache` for the key/invalidation rules).
-    """
-    from ..runtime.points import TraceSpec
-
-    key = (workload, dataset, max_refs, scale_shift)
-    if key not in _TRACE_CACHE:
-        w = get_workload(workload)
-        graph = get_graph(dataset, weighted=w.needs_weights, scale_shift=scale_shift)
-        spec = TraceSpec(
-            workload=w.name,
-            dataset=dataset,
-            max_refs=max_refs,
-            scale_shift=scale_shift,
-        )
-        _TRACE_CACHE[key] = _disk_cache().get_or_trace(spec, graph=graph)[0]
-    return _TRACE_CACHE[key]
 
 
 def make_runner(
@@ -142,18 +108,61 @@ def make_runner(
     """
     from ..runtime import RetryPolicy, SweepRunner
 
-    retry = RetryPolicy(
-        max_attempts=max(1, (retries if retries is not None else 2) + 1),
-        timeout=timeout,
+    retry = RetryPolicy.from_knobs(
+        retries=2 if retries is None else retries, timeout=timeout
     )
     return SweepRunner(workers=workers, retry=retry)
 
 
+def default_runner():
+    """The process-wide serial runner of drivers called without one."""
+    global _RUNNER
+    if _RUNNER is None:
+        _RUNNER = make_runner(0)
+    return _RUNNER
+
+
+def run_points(points, runner=None, config=None) -> list:
+    """Full ``SimResult`` objects of ``points``, in order.
+
+    Settles them through ``runner`` (:func:`default_runner` when
+    ``None``); raises :class:`~repro.runtime.sweep.SweepError` if any
+    point failed.
+    """
+    report = (runner or default_runner()).run(points, config=config)
+    report.raise_errors()
+    return [p.result for p in report.points]
+
+
+def get_trace_run(
+    workload: str, dataset: str, max_refs: int, scale_shift: int = 0,
+    runner=None,
+) -> TraceRun:
+    """A workload trace (with its recommended warm-up skip) via ``runner``.
+
+    Memoized in the runner (:func:`default_runner` when ``None``) and
+    backed by the on-disk trace cache, so traces persist across processes
+    and runs; disable with ``REPRO_TRACE_CACHE=off`` (see
+    :mod:`repro.runtime.trace_cache` for the key/invalidation rules).
+    """
+    from ..runtime.points import TraceSpec
+
+    spec = TraceSpec(
+        workload=get_workload(workload).name,
+        dataset=dataset,
+        max_refs=max_refs,
+        scale_shift=scale_shift,
+    )
+    return (runner or default_runner()).trace(spec)
+
+
 def clear_caches() -> None:
-    """Drop in-process cached graphs and traces (tests use this for
-    isolation); on-disk trace-cache entries are kept."""
+    """Drop in-process cached graphs and traces and the process-wide
+    runner (tests use this for isolation); on-disk trace-cache entries
+    are kept."""
+    global _RUNNER
     _GRAPH_CACHE.clear()
-    _TRACE_CACHE.clear()
+    _RUNNER = None
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,8 @@ optionally the full matrix) on the no-prefetch baseline.
 
 from __future__ import annotations
 
-from ..system.config import SystemConfig
-from ..system.runner import simulate
-from .common import ExperimentConfig, ExperimentResult, get_trace_run
+from ..runtime.points import SweepPoint
+from .common import ExperimentConfig, ExperimentResult, run_points
 
 __all__ = ["run_fig01"]
 
@@ -18,6 +17,7 @@ def run_fig01(
     cfg: ExperimentConfig | None = None,
     workload: str = "PR",
     dataset: str = "orkut",
+    runner=None,
 ) -> ExperimentResult:
     """Regenerate the Fig. 1 cycle stack."""
     cfg = cfg or ExperimentConfig()
@@ -25,8 +25,11 @@ def run_fig01(
         dataset = cfg.datasets[0]
     if workload not in cfg.workloads:
         workload = cfg.workloads[0]
-    run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-    result = simulate(run, config=SystemConfig.scaled_baseline(), setup="none")
+    point = SweepPoint(
+        workload, dataset, "none", max_refs=cfg.max_refs,
+        scale_shift=cfg.scale_shift,
+    )
+    (result,) = run_points([point], runner)
     fractions = result.cycle_stack.fractions()
     row = {"workload": workload, "dataset": dataset}
     row.update({k: round(v, 3) for k, v in fractions.items()})

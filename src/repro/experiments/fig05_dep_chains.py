@@ -16,9 +16,12 @@ __all__ = ["run_fig05"]
 
 
 def run_fig05(
-    cfg: ExperimentConfig | None = None, rob_entries: int = 128
+    cfg: ExperimentConfig | None = None, rob_entries: int = 128, runner=None
 ) -> ExperimentResult:
-    """Regenerate the Fig. 5 + Fig. 6 dependency analysis."""
+    """Regenerate the Fig. 5 + Fig. 6 dependency analysis.
+
+    Analyses traces only; ``runner`` supplies them (its trace memo).
+    """
     cfg = cfg or ExperimentConfig()
     out = ExperimentResult(
         experiment="fig05+06",
@@ -26,7 +29,9 @@ def run_fig05(
     )
     for workload in cfg.workloads:
         for dataset in cfg.datasets:
-            run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
+            run = get_trace_run(
+                workload, dataset, cfg.max_refs, cfg.scale_shift, runner
+            )
             profile = profile_dependencies(run.trace, rob_entries)
             row = {"workload": workload, "dataset": dataset}
             row.update(profile.as_row())

@@ -10,36 +10,39 @@ on-chip.
 from __future__ import annotations
 
 from ..characterization.hierarchy_usage import hierarchy_usage
-from ..system.config import SystemConfig
-from ..system.runner import simulate
+from ..runtime.points import SweepPoint
 from ..trace.record import DataType
-from .common import ExperimentConfig, ExperimentResult, get_trace_run
+from .common import ExperimentConfig, ExperimentResult, run_points
 
 __all__ = ["run_fig07"]
 
 
-def run_fig07(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig07(cfg: ExperimentConfig | None = None, runner=None) -> ExperimentResult:
     """Regenerate the Fig. 7 usage breakdown (no-prefetch baseline)."""
     cfg = cfg or ExperimentConfig()
     out = ExperimentResult(
         experiment="fig07",
         title="Memory hierarchy usage by data type (% of accesses per level)",
     )
-    system = SystemConfig.scaled_baseline()
-    for workload in cfg.workloads:
-        for dataset in cfg.datasets:
-            run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-            result = simulate(run, config=system, setup="none")
-            usage = hierarchy_usage(result)
-            for dt in DataType:
-                row = {
-                    "workload": workload,
-                    "dataset": dataset,
-                    "type": dt.short_name,
-                }
-                for level, frac in usage[dt].fractions.items():
-                    row[level + "_%"] = round(100 * frac, 1)
-                out.rows.append(row)
+    cells = [(w, d) for w in cfg.workloads for d in cfg.datasets]
+    points = [
+        SweepPoint(
+            workload, dataset, "none", max_refs=cfg.max_refs,
+            scale_shift=cfg.scale_shift,
+        )
+        for workload, dataset in cells
+    ]
+    for (workload, dataset), result in zip(cells, run_points(points, runner)):
+        usage = hierarchy_usage(result)
+        for dt in DataType:
+            row = {
+                "workload": workload,
+                "dataset": dataset,
+                "type": dt.short_name,
+            }
+            for level, frac in usage[dt].fractions.items():
+                row[level + "_%"] = round(100 * frac, 1)
+            out.rows.append(row)
     out.notes.append(
         "paper: structure serviced by L1+DRAM, property by L1+LLC+DRAM (little "
         "L2), intermediate mostly on-chip"

@@ -15,10 +15,10 @@ __all__ = ["run_fig12"]
 _FIG12_SETUPS = ("none", "stream", "streamMPP1", "droplet")
 
 
-def run_fig12(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig12(cfg: ExperimentConfig | None = None, runner=None) -> ExperimentResult:
     """Regenerate the Fig. 12 L2 hit-rate comparison."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, runner=runner)
     out = ExperimentResult(
         experiment="fig12", title="L2 demand hit rate by prefetch configuration"
     )

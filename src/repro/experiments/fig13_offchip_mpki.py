@@ -16,10 +16,10 @@ __all__ = ["run_fig13"]
 _FIG13_SETUPS = ("none", "stream", "streamMPP1", "droplet")
 
 
-def run_fig13(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig13(cfg: ExperimentConfig | None = None, runner=None) -> ExperimentResult:
     """Regenerate the Fig. 13 demand-MPKI breakdown."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, runner=runner)
     out = ExperimentResult(
         experiment="fig13", title="LLC demand MPKI by data type and configuration"
     )

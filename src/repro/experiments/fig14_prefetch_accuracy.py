@@ -18,10 +18,10 @@ __all__ = ["run_fig14"]
 _FIG14_SETUPS = ("stream", "streamMPP1", "droplet")
 
 
-def run_fig14(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig14(cfg: ExperimentConfig | None = None, runner=None) -> ExperimentResult:
     """Regenerate the Fig. 14 prefetch-accuracy comparison."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, runner=runner)
     out = ExperimentResult(
         experiment="fig14", title="Prefetch accuracy (%) by data type"
     )

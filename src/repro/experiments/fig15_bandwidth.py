@@ -15,10 +15,10 @@ __all__ = ["run_fig15"]
 _FIG15_SETUPS = ("none", "stream", "streamMPP1", "droplet")
 
 
-def run_fig15(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig15(cfg: ExperimentConfig | None = None, runner=None) -> ExperimentResult:
     """Regenerate the Fig. 15 bandwidth-overhead comparison."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, runner=runner)
     out = ExperimentResult(
         experiment="fig15", title="DRAM bus accesses per kilo-instruction (BPKI)"
     )

@@ -11,8 +11,7 @@ from __future__ import annotations
 from ..droplet.composite import PREFETCH_CONFIG_NAMES
 from ..system.config import SystemConfig
 from ..system.machine import SimResult
-from ..system.runner import simulate
-from .common import ExperimentConfig, get_trace_run
+from .common import ExperimentConfig, run_points
 
 __all__ = [
     "get_prefetch_matrix",
@@ -55,30 +54,18 @@ def get_prefetch_matrix(
 ) -> dict[tuple[str, str, str], SimResult]:
     """Simulate (and cache) the full comparison matrix.
 
-    With a :class:`~repro.runtime.sweep.SweepRunner`, the matrix points
-    fan out across its workers (results are bit-identical to the serial
-    path); serially, traces come from the shared per-process cache.
+    The matrix points settle through ``runner`` (the process-wide serial
+    runner when ``None``); a pool runner fans them out across its
+    workers with bit-identical results.
 
     Returns ``{(workload, dataset, setup): SimResult}``.
     """
     key = (cfg, tuple(setups), system)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
-    if runner is not None:
-        report = runner.run(matrix_points(cfg, setups), config=system)
-        matrix = report.results_by_key()
-    else:
-        system = system or SystemConfig.scaled_baseline()
-        matrix = {}
-        for workload in cfg.workloads:
-            for dataset in cfg.datasets:
-                run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-                for setup in setups:
-                    matrix[(workload, dataset, setup)] = simulate(
-                        run, config=system, setup=setup
-                    )
-    _MATRIX_CACHE[key] = matrix
-    return matrix
+    if key not in _MATRIX_CACHE:
+        points = matrix_points(cfg, setups)
+        results = run_points(points, runner, config=system)
+        _MATRIX_CACHE[key] = {p.key: r for p, r in zip(points, results)}
+    return _MATRIX_CACHE[key]
 
 
 def clear_matrix_cache() -> None:

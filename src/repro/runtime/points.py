@@ -213,6 +213,16 @@ class PointResult:
     #: Windows the batch replay degraded to the scalar oracle for.
     windows_degraded: int = 0
 
+    @classmethod
+    def failure(
+        cls, point: SweepPoint, kind: str, message: str, attempts: int = 1
+    ) -> "PointResult":
+        """A failed outcome recorded without an exception to capture."""
+        return cls(
+            point=point, error=PointError(kind=kind, message=message),
+            attempts=attempts,
+        )
+
     @property
     def ok(self) -> bool:
         """Whether the point simulated successfully."""
